@@ -46,7 +46,7 @@ def capture_state(sim: CompassBase) -> dict[str, Any]:
     return {
         "tick": sim.tick,
         "blocks": [rs.block.snapshot() for rs in sim.ranks],
-        "injections": {t: list(v) for t, v in sim._injections.items()},
+        "injections": sim.injections.snapshot(),
         "registry": sim.obs.registry.snapshot(prefix="compass_"),
     }
 
@@ -59,14 +59,9 @@ def restore_state(sim: CompassBase, state: dict[str, Any]) -> None:
             f"snapshot has {len(blocks)} ranks, simulator has {len(sim.ranks)}"
         )
     for rs, snap in zip(sim.ranks, blocks):
-        rs.block.restore(snap)
-        # An aborted tick leaves spikes staged between the compute and
-        # network phases; at the checkpointed tick boundary these buffers
-        # were empty, so discard the strays or the replay delivers them.
-        rs.local_buf.drain()
-        rs.remote_bufs.flush(0)
+        rs.restore(snap)
     sim.tick = int(state["tick"])
-    sim._injections = {t: list(v) for t, v in state["injections"].items()}
+    sim.injections.restore(state["injections"])
     registry_snap = state.get("registry")
     if registry_snap is not None:
         sim.obs.registry.restore(registry_snap)
@@ -80,15 +75,7 @@ def state_nbytes(sim: CompassBase) -> int:
     the copies, so callers metering every simulator construction — the
     bench meter in ``benchmarks/conftest.py`` — pay no allocation cost.
     """
-    total = 0
-    for rs in sim.ranks:
-        block = rs.block
-        total += (
-            block.state.potential.nbytes
-            + block.state.rng.state.nbytes
-            + block.buffers.pending.nbytes
-        )
-    return total
+    return sum(rs.state_nbytes for rs in sim.ranks)
 
 
 def _network_fingerprint(sim: CompassBase) -> str:
@@ -117,7 +104,7 @@ def save_checkpoint(sim: CompassBase, path: str | Path) -> None:  # repro: obs-f
             _network_fingerprint(sim).encode(), dtype=np.uint8
         ),
     }
-    if sim._injections:
+    if sim.injections.pending:
         raise CheckpointError("cannot checkpoint with pending external injections")
     for rs in sim.ranks:
         snap = rs.block.snapshot()

@@ -10,6 +10,8 @@ the sequential reference:
   backend, spike digest + JSONL event-log bytes + registry textfile
   (each pool flavor replays its in-process twin's instrumentation);
 * pool (pickled-mailbox MPI flavor) at 4 workers vs sequential;
+* both pool flavors with two modelled threads per rank, whose per-thread
+  compute slices the parent emits through the shared tick emitter;
 * spike digests agree across *all* backends regardless of flavor;
 * a mid-run host worker crash recovered by the resilience driver lands
   on the clean-run digest;
@@ -38,16 +40,19 @@ def _net():
     return build_quickstart_network(n_cores=N_CORES, seed=11)
 
 
-def _layout(workers=1):
+def _layout(workers=1, threads=1):
     return ExecLayout(
-        n_processes=N_PROCESSES, record_spikes=True, workers=workers
+        n_processes=N_PROCESSES,
+        threads_per_process=threads,
+        record_spikes=True,
+        workers=workers,
     )
 
 
-def _run(backend, workers=1, ticks=TICKS):
+def _run(backend, workers=1, ticks=TICKS, threads=1):
     obs = Observability.with_tracing()
     with make_adapter(backend, obs=obs) as sim:
-        sim.prepare(_net(), _layout(workers))
+        sim.prepare(_net(), _layout(workers, threads))
         result = sim.run(ticks)
     return result, obs
 
@@ -87,6 +92,21 @@ class TestPoolByteIdentity:
         assert a.read_bytes() == b.read_bytes()
         assert render_textfile(pool_obs.registry) == render_textfile(
             seq_obs.registry
+        )
+
+    @pytest.mark.parametrize(
+        "backend, twin", [("pool", "pgas"), ("pool-mpi", "sequential")]
+    )
+    def test_thread_slices_match_in_process_twin(self, backend, twin, tmp_path):
+        ref_res, ref_obs = _run(twin, threads=2)
+        pool_res, pool_obs = _run(backend, workers=2, threads=2)
+        assert ref_obs.tracer.count("omp-thread") > 0
+        assert spike_digest(pool_res.spikes) == spike_digest(ref_res.spikes)
+        a = write_event_log(ref_obs.tracer, tmp_path / f"{twin}.jsonl")
+        b = write_event_log(pool_obs.tracer, tmp_path / f"{backend}.jsonl")
+        assert a.read_bytes() == b.read_bytes()
+        assert render_textfile(pool_obs.registry) == render_textfile(
+            ref_obs.registry
         )
 
     def test_digest_agrees_across_flavors(self, sequential_run, pgas_run):
